@@ -83,12 +83,13 @@ churn:
 
 # The HTTP gateway under the race detector: psgate builds, and the
 # gateway suite (Range matrix, conditional GETs, streaming PUT, herd
-# singleflight, hot promotion) plus the File lifecycle and shared-cache
-# tests run race-enabled against live loopback rings (docs/GATEWAY.md).
+# singleflight, hot promotion, warm and changed-object GETs) plus the
+# File lifecycle, shared-cache and CAT-lease tests run race-enabled
+# against live loopback rings (docs/GATEWAY.md).
 gate:
 	$(GO) build ./cmd/psgate
 	$(GO) test -race ./gateway
-	$(GO) test -race -run 'UseAfterClose|Singleflight|CacheShared|CacheEviction|Promote' .
+	$(GO) test -race -run 'UseAfterClose|Singleflight|CacheShared|CacheEviction|Promote|Lease' .
 
 # Observability surface under the race detector: the telemetry package
 # (bucket math, quantile accuracy vs a sorted-sample reference, merge

@@ -216,10 +216,14 @@ func (c *chunkCache) invalidate(name string) {
 // the public surface, keying on the caller's CAT hash. It is
 // counter-silent: hits and misses are accounted once, at the File
 // layer, not again per decode attempt.
+//
+// The key's CAT hash marshals the whole table, so it is computed before
+// taking the client-wide lock.
 func (c *chunkCache) GetChunk(cat *core.CAT, ci int) ([]byte, bool) {
+	key := chunkKey{cat.File, catHash(cat), ci}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[chunkKey{cat.File, cat.Hash(), ci}]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*cacheEntry).data, true
 	}
@@ -228,8 +232,9 @@ func (c *chunkCache) GetChunk(cat *core.CAT, ci int) ([]byte, bool) {
 
 // PutChunk implements core.ChunkCache.
 func (c *chunkCache) PutChunk(cat *core.CAT, ci int, data []byte) {
+	key := chunkKey{cat.File, catHash(cat), ci}
 	c.mu.Lock()
-	c.storeLocked(chunkKey{cat.File, cat.Hash(), ci}, data)
+	c.storeLocked(key, data)
 	c.mu.Unlock()
 }
 

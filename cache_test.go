@@ -24,7 +24,9 @@ func totalFetchOps(servers []*node.Server) int64 {
 // racing over one cold multi-chunk file through a single handle must
 // fetch and decode each chunk exactly once. With the null code every
 // chunk is one block, so the server-side fetch counters give an exact
-// bound: one fetch per chunk plus the single hot-marker probe.
+// bound: one fetch per chunk plus the single CAT renewal of the
+// handle's first miss (the Store leased the CAT with its hot state, so
+// no marker probe is needed).
 func TestColdChunkSingleflight(t *testing.T) {
 	servers, seed := testRing(t, 3, 1<<30)
 	c := dialTest(t, seed,
@@ -72,9 +74,9 @@ func TestColdChunkSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// chunks block fetches + 1 probe of the absent promotion marker.
+	// chunks block fetches + 1 CAT renewal.
 	if delta := totalFetchOps(servers) - base; delta != chunks+1 {
-		t.Errorf("herd of 64 cost %d fetches, want %d (one per chunk + marker probe)", delta, chunks+1)
+		t.Errorf("herd of 64 cost %d fetches, want %d (one per chunk + CAT renewal)", delta, chunks+1)
 	}
 	st := c.CacheStats()
 	if st.Decodes != chunks {
@@ -116,7 +118,7 @@ func TestCacheSharedAcrossHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	base := totalFetchOps(servers) // past the CAT fetch Open just did
+	base := totalFetchOps(servers) // Open served the CAT from the lease
 	if got, err := io.ReadAll(f2); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("second read: %v", err)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -20,9 +19,8 @@ import (
 // (docs/RING.md): a live loopback ring with the SWIM detector and the
 // autonomous repair daemon on every node absorbs scripted deaths, and
 // the harness clocks how long detection and repair take and how many
-// bytes the daemons regenerate. Results go to BENCH_PR6.json.
-
-const churnBenchOut = "BENCH_PR6.json"
+// bytes the daemons regenerate. The JSON report has the
+// BENCH_PR6.json schema (see writeReport).
 
 type churnDeathResult struct {
 	Victim       int     `json:"victim"`
@@ -311,14 +309,5 @@ func runChurn() {
 		report.Summary.BlocksRegenerated, report.Summary.BytesRegenerated,
 		report.Summary.FilesFailed, report.Summary.ChunksLost)
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(churnBenchOut, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("(wrote %s)\n", churnBenchOut)
+	writeReport("churn", &report)
 }

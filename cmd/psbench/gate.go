@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,12 +23,10 @@ import (
 // loopback ring behind cmd/psgate's handler, a 64-client herd issuing
 // full-object and ranged GETs, with the shared singleflight chunk
 // cache and automatic hot promotion doing their work in between. It
-// reports aggregate MB/s and tail latencies per phase and writes
-// BENCH_PR9.json. Like churn it drives a live ring and takes seconds
-// of wall clock, so it runs only when asked for by name, never under
-// -exp all.
-
-const gateBenchOut = "BENCH_PR9.json"
+// reports aggregate MB/s and tail latencies per phase as a JSON report
+// in the BENCH_PR9.json schema (see writeReport). Like churn it drives
+// a live ring and takes seconds of wall clock, so it runs only when
+// asked for by name, never under -exp all.
 
 // fatalf aborts the experiment with a message on stderr.
 func fatalf(format string, args ...any) {
@@ -302,12 +299,5 @@ func runGate() {
 		"BenchmarkGatewayGetRanged": {"mb_s": report.Phases["seq_ranged"].AggregateMB},
 	}
 
-	buf, err := json.MarshalIndent(&report, "", " ")
-	if err != nil {
-		fatalf("gate: %v", err)
-	}
-	if err := os.WriteFile(gateBenchOut, append(buf, '\n'), 0o644); err != nil {
-		fatalf("gate: %v", err)
-	}
-	fmt.Printf("(wrote %s)\n", gateBenchOut)
+	writeReport("gate", &report)
 }

@@ -8,6 +8,7 @@
 //	psbench -exp all                 # everything, reduced scale
 //	psbench -exp fig7 -scale 20      # one experiment, larger population
 //	psbench -exp table2 -runs 10     # coding microbenchmark
+//	psbench -exp gate -out gate.json # live gateway herd, report to a file
 //
 // -scale divides the paper's 10 000-node / 1.2 M-file population; the
 // offered-load-to-capacity ratio (~63%) is preserved at every scale, so
@@ -15,6 +16,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +49,29 @@ func saveCSV(name string, header []string, rows [][]string) {
 	fmt.Printf("(wrote %s)\n", filepath.Join(csvDir, name+".csv"))
 }
 
+// outPath receives the JSON report of the live-ring experiments
+// (churn, gate) when -out is set.
+var outPath string
+
+// writeReport emits a live-ring experiment's JSON report: to the -out
+// file when set, else to stdout. It never writes a file unasked, so a
+// run from the repository root cannot overwrite a committed baseline.
+func writeReport(exp string, report any) {
+	buf, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fatalf("%s: %v", exp, err)
+	}
+	buf = append(buf, '\n')
+	if outPath == "" {
+		os.Stdout.Write(buf) //nolint:errcheck
+		return
+	}
+	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
+		fatalf("%s: %v", exp, err)
+	}
+	fmt.Printf("(wrote %s)\n", outPath)
+}
+
 func main() {
 	var (
 		exp   = flag.String("exp", "all", "experiment: all, fig7, fig8, fig9, table1, fig10, table2, schedules, table3, fig11, fig12, table4, ablate, tail, churn, gate (churn and gate drive live rings; not part of 'all')")
@@ -54,22 +79,24 @@ func main() {
 		seeds = flag.Int("seeds", 3, "independent seeds to average (paper: 10)")
 		runs  = flag.Int("runs", 10, "repetitions for the coding microbenchmark")
 		csv   = flag.String("csv", "", "directory to also write figure data as CSV (empty disables)")
+		out   = flag.String("out", "", "file for the churn/gate JSON report (empty prints it to stdout)")
 	)
 	flag.Parse()
-	csvDir = *csv
+	csvDir, outPath = *csv, *out
 
 	selected := strings.ToLower(*exp)
 	// The churn experiment drives a live loopback ring (detector +
 	// repair daemon, docs/RING.md) rather than the simulator, takes
-	// tens of seconds of wall clock, and writes BENCH_PR6.json — so it
-	// runs only when asked for by name, never under -exp all.
+	// tens of seconds of wall clock, and reports JSON in the
+	// BENCH_PR6.json schema — so it runs only when asked for by name,
+	// never under -exp all.
 	if selected == "churn" {
 		runChurn()
 		return
 	}
 	// Likewise the gate experiment: a live loopback ring behind the
-	// HTTP gateway under a 64-client herd, writing BENCH_PR9.json —
-	// seconds of wall clock, so by name only.
+	// HTTP gateway under a 64-client herd, reporting JSON in the
+	// BENCH_PR9.json schema — seconds of wall clock, so by name only.
 	if selected == "gate" {
 		runGate()
 		return

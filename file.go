@@ -2,6 +2,7 @@ package peerstripe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,16 +16,18 @@ import (
 // io.Seeker, io.ReaderAt, and io.Closer over the ring. Reads decode at
 // chunk granularity and fetch only the chunks the requested range
 // covers (§4.1). Decoded chunks land in the Client's shared cache — an
-// LRU bounded by WithChunkCache and keyed on (name, chunk), so every
-// handle and every request on the client reuses them — and each cold
-// chunk is fetched and decoded exactly once no matter how many readers
-// race for it (per-chunk singleflight). All methods are safe for
-// concurrent use (concurrent ReadAt, as io.ReaderAt requires).
+// LRU bounded by WithChunkCache and keyed on (name, CAT version,
+// chunk), so every handle and every request on the client reuses them
+// — and each cold chunk is fetched and decoded exactly once no matter
+// how many readers race for it (per-chunk singleflight). All methods
+// are safe for concurrent use (concurrent ReadAt, as io.ReaderAt
+// requires).
 //
 // The context passed to Open governs every read on the File:
 // cancelling it makes in-flight and future reads fail promptly with
 // the context error. After Close, every read fails with an error
-// matching os.ErrClosed.
+// matching os.ErrClosed. A read that must decode after the file was
+// re-stored fails with an error matching ErrChanged (see Open).
 type File struct {
 	cl   *Client
 	ctx  context.Context
@@ -34,6 +37,9 @@ type File struct {
 	// version under which its chunks are cached and against which the
 	// hot-promotion marker is verified.
 	ver uint64
+	// fetched is set when Open read the CAT from the ring rather than
+	// the lease, so the first decode need not renew it.
+	fetched bool
 
 	// posMu serializes the seek position across Read/Seek, held for
 	// the whole Read so interleaved concurrent Reads cannot hand two
@@ -43,25 +49,38 @@ type File struct {
 
 	closed atomic.Bool
 
-	// Hot-promotion state, resolved lazily on the first chunk miss:
-	// promoted files serve chunk reads from full-copy replicas (one
+	// Decode preparation, run on the first chunk miss (see prepare):
+	// the renewed CAT check and the version's hot-promotion state.
+	// Promoted files serve chunk reads from full-copy replicas (one
 	// block, no decode) with the coded blocks as fallback.
-	hotMu      sync.Mutex
-	hotChecked bool
-	hotCopies  int
-	hotNext    atomic.Uint32 // rotates reads across the replica set
+	prepMu    sync.Mutex
+	prepared  bool
+	prepErr   error // sticky ErrChanged
+	hotCopies int
+	hotNext   atomic.Uint32 // rotates reads across the replica set
 }
 
-// Open loads the named file's chunk allocation table and returns a
-// handle for ranged reads. The file's bytes are fetched lazily, chunk
-// by chunk, as reads demand them. ctx bounds the open and every
-// subsequent read on the returned File.
+// Open returns a handle for ranged reads of the named file. The
+// file's chunk allocation table comes from the client's CAT lease when
+// it was read from the ring within the last second, with no wire call,
+// and is loaded otherwise. The file's bytes are fetched lazily, chunk
+// by chunk, as reads demand them; before its first decode, a handle
+// opened from the lease re-reads the table, so no bytes are ever
+// decoded under a stale one.
+//
+// This client's own Store and Delete of the name are visible to every
+// Open that starts after they return. Another client's re-store is
+// visible within one second. A handle keeps reading the version it
+// opened from the cache; when a read has to decode and finds the file
+// re-stored, it fails with ErrChanged — reopen to read the new
+// version. ctx bounds the open and every subsequent read on the
+// returned File.
 func (c *Client) Open(ctx context.Context, name string) (*File, error) {
-	cat, err := c.c.LoadCATCtx(ctx, name)
+	e, fetched, err := c.lease.open(ctx, name)
 	if err != nil {
 		return nil, fmt.Errorf("peerstripe: open %q: %w", name, err)
 	}
-	return &File{cl: c, ctx: ctx, cat: cat, name: name, ver: cat.Hash()}, nil
+	return &File{cl: c, ctx: ctx, cat: e.cat, name: name, ver: e.ver, fetched: fetched}, nil
 }
 
 // Name returns the ring-wide file name.
@@ -86,37 +105,52 @@ func (f *File) errClosed(op string) error {
 	return fmt.Errorf("peerstripe: %s %q: %w", op, f.name, os.ErrClosed)
 }
 
-// hotReplicas resolves (once per handle) how many full-copy chunk
-// replicas the file was promoted with; 0 means read the coded path.
-// The marker is trusted only when it is bound to this handle's CAT
-// hash — a marker left behind by a failed demote after a re-store
-// names the old layout and is ignored, so stale replica bytes are
-// never routed to readers of the new one. The probe is lazy — it
-// costs one marker fetch, paid only when a chunk actually misses the
-// shared cache — and failures degrade to the coded path instead of
-// failing the read.
-func (f *File) hotReplicas() int {
-	f.hotMu.Lock()
-	defer f.hotMu.Unlock()
-	if !f.hotChecked {
-		if copies, catHash, err := f.cl.c.HotCopiesCtx(f.ctx, f.name); err == nil && catHash == f.ver {
-			f.hotCopies = copies
-		}
-		f.hotChecked = true
+// prepare readies the handle for a decode and returns the number of
+// full-copy chunk replicas to read from (0: the coded path). On the
+// first decode, a handle opened from the lease renews it — one CAT
+// load, in the same wave as the hot-marker read when this version's
+// hot state is not already known. Every decode fails for good with
+// ErrChanged once the file is known to be re-stored: by that renewal,
+// or by the lease holding a newer version (this client stored it, or
+// another handle's renewal found it). The hot state is the lease's,
+// resolved once per CAT version; a marker is honored only when bound
+// to this handle's CAT hash, so replicas left behind by a failed
+// demote are never routed to readers of a newer layout. Marker read
+// failures degrade to the coded path instead of failing the read.
+func (f *File) prepare() (int, error) {
+	f.prepMu.Lock()
+	defer f.prepMu.Unlock()
+	if f.prepErr == nil && f.cl.lease.superseded(f.name, f.ver) {
+		f.prepErr = ErrChanged
 	}
-	return f.hotCopies
+	if f.prepared || f.prepErr != nil {
+		return f.hotCopies, f.prepErr
+	}
+	copies, err := f.cl.lease.renew(f.ctx, f.name, f.ver, !f.fetched)
+	if errors.Is(err, ErrChanged) {
+		f.prepErr = err
+	}
+	if err != nil {
+		return 0, err
+	}
+	f.prepared, f.hotCopies = true, copies
+	return copies, nil
 }
 
 // fetchChunk is the singleflight leader's path for one cold chunk:
-// try the promoted full-copy replicas (one block fetch, no decode,
-// rotating across the replica set so a herd fans out), then fall back
-// to fetching and erasure-decoding the coded blocks. Replicas are
-// untrusted copies — a length or content-sum mismatch against this
-// handle's CAT row degrades to the coded path instead of serving the
-// bytes.
+// prepare the handle, try the promoted full-copy replicas (one block
+// fetch, no decode, rotating across the replica set so a herd fans
+// out), then fall back to fetching and erasure-decoding the coded
+// blocks. Replicas are untrusted copies — a length or content-sum
+// mismatch against this handle's CAT row degrades to the coded path
+// instead of serving the bytes.
 func (f *File) fetchChunk(ci int) ([]byte, error) {
+	copies, err := f.prepare()
+	if err != nil {
+		return nil, err
+	}
 	row := f.cat.Row(ci)
-	if copies := f.hotReplicas(); copies > 0 {
+	if copies > 0 {
 		start := int(f.hotNext.Add(1))
 		for k := 0; k < copies; k++ {
 			r := 1 + (start+k)%copies
@@ -130,7 +164,9 @@ func (f *File) fetchChunk(ci int) ([]byte, error) {
 			}
 		}
 	}
-	return f.cl.c.FetchChunk(f.ctx, f.cat, ci)
+	// The shared cache above already owns this chunk's key; decode
+	// without a second lookup.
+	return f.cl.c.FetchChunkNoCache(f.ctx, f.cat, ci)
 }
 
 // chunk returns chunk ci's decoded bytes through the client's shared

@@ -218,29 +218,48 @@ func (g *Gateway) serveStats(w http.ResponseWriter, r *http.Request) {
 
 // serveObject handles GET and HEAD: conditional requests, single and
 // suffix Range requests mapped onto File.ReadAt, and streamed bodies.
+// A GET whose first read finds the object re-stored since its Open
+// (peerstripe.ErrChanged — the handle came from a stale CAT lease) is
+// served once more from a fresh Open; the first read happens before
+// any header is written, so the retry is invisible to the requester.
 func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, name string) {
 	if r.Method == http.MethodHead {
 		g.met.heads.Inc()
 	} else {
 		g.met.gets.Inc()
 	}
-	f, err := g.cl.Open(r.Context(), name)
-	if err != nil {
-		g.fail(w, r, err)
-		return
+	for retry := true; ; retry = false {
+		f, err := g.cl.Open(r.Context(), name)
+		if err != nil {
+			g.fail(w, r, err)
+			return
+		}
+		err = g.serveFile(w, r, name, f)
+		f.Close()
+		if !retry || !errors.Is(err, peerstripe.ErrChanged) {
+			if err != nil {
+				g.fail(w, r, err)
+			}
+			return
+		}
 	}
-	defer f.Close()
+}
 
+// serveFile serves one GET or HEAD from an open handle. It returns an
+// error only when nothing has been written yet, for serveObject to
+// retry or map onto a status.
+func (g *Gateway) serveFile(w http.ResponseWriter, r *http.Request, name string, f *peerstripe.File) error {
 	size := f.Size()
 	etag := f.ETag()
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Accept-Ranges", "bytes")
 	h.Set("Content-Type", "application/octet-stream")
+	h.Del("Content-Range")
 
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil
 	}
 
 	off, length, status := int64(0), size, http.StatusOK
@@ -255,7 +274,7 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, name strin
 			case !satisfiable:
 				h.Set("Content-Range", fmt.Sprintf("bytes */%d", size))
 				http.Error(w, "requested range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
-				return
+				return nil
 			default:
 				off, length, status = o, l, http.StatusPartialContent
 				h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
@@ -263,25 +282,47 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, name strin
 		}
 	}
 	h.Set("Content-Length", strconv.FormatInt(length, 10))
-	w.WriteHeader(status)
 
 	if r.Method == http.MethodHead {
-		return
+		w.WriteHeader(status)
+		return nil
 	}
-	g.recordHit(name) // GETs only: metadata probes earn no replicas
 	bufp := g.bufs.Get().(*[]byte)
 	defer g.bufs.Put(bufp)
-	// writerOnly hides the ResponseWriter's ReadFrom so CopyBuffer
-	// actually uses the pooled Config.CopyBuffer-sized buffer instead
-	// of delegating to w.ReadFrom and ignoring it.
-	n, err := io.CopyBuffer(writerOnly{w}, io.NewSectionReader(f, off, length), *bufp)
-	g.met.bytesOut.Add(n)
+	// The first buffer is read before the status line goes out, so a
+	// failure there still gets a proper error status. Later pieces
+	// keep the same buffer-sized boundaries a plain copy would read.
+	first := (*bufp)[:min(int64(len(*bufp)), length)]
+	n, err := f.ReadAt(first, off)
+	if err == io.EOF && n == len(first) {
+		err = nil
+	}
+	if err != nil {
+		// The entity headers describe a body that will not be sent.
+		h.Del("ETag")
+		h.Del("Content-Range")
+		h.Del("Content-Length")
+		return err
+	}
+	w.WriteHeader(status)
+	g.recordHit(name) // GETs only: metadata probes earn no replicas
+	written, err := w.Write(first)
+	if err == nil {
+		// writerOnly hides the ResponseWriter's ReadFrom so CopyBuffer
+		// actually uses the pooled Config.CopyBuffer-sized buffer
+		// instead of delegating to w.ReadFrom and ignoring it.
+		var rest int64
+		rest, err = io.CopyBuffer(writerOnly{w}, io.NewSectionReader(f, off+int64(n), length-int64(n)), *bufp)
+		written += int(rest)
+	}
+	g.met.bytesOut.Add(int64(written))
 	if err != nil && r.Context().Err() == nil {
 		// Headers are gone; all we can do is cut the connection short
 		// and note it.
 		g.met.errors.Inc()
 		g.logf("gateway: GET %s: streaming body: %v", name, err)
 	}
+	return nil
 }
 
 // servePut streams the request body into the ring under the object
@@ -337,7 +378,8 @@ func (g *Gateway) fail(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, peerstripe.ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, peerstripe.ErrRingUnavailable):
+	case errors.Is(err, peerstripe.ErrRingUnavailable), errors.Is(err, peerstripe.ErrChanged):
+		// ErrChanged: the object was re-stored twice mid-request.
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout

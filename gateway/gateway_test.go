@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -529,5 +530,103 @@ func TestGatewayStatsAndHealth(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("stats JSON missing %s: %s", want, body)
 		}
+	}
+}
+
+// wireCalls sums the client's ps_client_calls_total series.
+func wireCalls(cl *peerstripe.Client) int64 {
+	var n int64
+	for name, v := range cl.Metrics().Counters {
+		if strings.HasPrefix(name, "ps_client_calls_total") {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestGatewayWarmGetZeroWireCalls pins the warm GET path: a PUT's
+// read-back Open is served by the CAT lease the Store installed, and
+// a repeat Range GET of a cached range makes no wire call at all.
+func TestGatewayWarmGetZeroWireCalls(t *testing.T) {
+	cl, base := gateTest(t, gateway.Config{},
+		peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
+	data := make([]byte, 4*64<<10)
+	rand.New(rand.NewSource(81)).Read(data)
+	putObject(t, base, "warm.bin", data)
+	if m := cl.Metrics().Counters; m["ps_cat_lease_hits_total"] != 1 || m["ps_cat_lease_misses_total"] != 0 {
+		t.Errorf("PUT read-back: lease hits %d misses %d, want 1 and 0",
+			m["ps_cat_lease_hits_total"], m["ps_cat_lease_misses_total"])
+	}
+
+	rng := map[string]string{"Range": "bytes=70000-80000"}
+	get(t, base+"/warm.bin", rng) // warm-up: renews the lease, decodes chunk 1
+	calls := wireCalls(cl)
+	resp, body := get(t, base+"/warm.bin", rng)
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, data[70000:80001]) {
+		t.Fatalf("warm GET: status %d, exact=%v", resp.StatusCode, bytes.Equal(body, data[70000:80001]))
+	}
+	if d := wireCalls(cl) - calls; d != 0 {
+		t.Errorf("warm GET made %d wire calls, want 0", d)
+	}
+}
+
+// TestGatewayRetriesChangedObject pins the stale-lease path behind
+// several gateways: after another client re-stores an object, this
+// gateway's cached ranges keep serving the version it leased, and a
+// GET that must decode finds the change before writing any header and
+// answers from a fresh Open with the new version.
+func TestGatewayRetriesChangedObject(t *testing.T) {
+	_, seed := testRing(t, 3, 1<<30)
+	opts := []peerstripe.Option{peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64 << 10)}
+	cl := dialTest(t, seed, opts...)
+	other := dialTest(t, seed, opts...)
+	ts := httptest.NewServer(gateway.New(cl, gateway.Config{}))
+	t.Cleanup(ts.Close)
+
+	v1, v2 := make([]byte, 4*64<<10), make([]byte, 4*64<<10)
+	rand.New(rand.NewSource(82)).Read(v1)
+	rand.New(rand.NewSource(83)).Read(v2)
+	putObject(t, ts.URL, "moved.bin", v1)
+	warm := map[string]string{"Range": "bytes=0-999"}
+	resp, _ := get(t, ts.URL+"/moved.bin", warm)
+	tag1 := resp.Header.Get("ETag")
+
+	if _, err := other.StoreBytes(context.Background(), "moved.bin", v2); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := get(t, ts.URL+"/moved.bin", warm)
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, v1[:1000]) {
+		t.Fatalf("cached range after remote re-store: status %d, v1=%v", resp.StatusCode, bytes.Equal(body, v1[:1000]))
+	}
+	cold := map[string]string{"Range": "bytes=140000-149999"}
+	resp, body = get(t, ts.URL+"/moved.bin", cold)
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, v2[140000:150000]) {
+		t.Fatalf("cold range after remote re-store: status %d, v2=%v", resp.StatusCode, bytes.Equal(body, v2[140000:150000]))
+	}
+	if tag := resp.Header.Get("ETag"); tag == tag1 {
+		t.Errorf("retried GET kept the old ETag %s", tag)
+	}
+}
+
+// TestGatewayFirstReadFailureGetsStatus pins that a GET whose first
+// read fails answers with the mapped error status, not a 200 cut
+// short: here the object's CAT is leased, so Open succeeds, but the
+// ring is gone by the time the read must decode.
+func TestGatewayFirstReadFailureGetsStatus(t *testing.T) {
+	servers, seed := testRing(t, 3, 1<<30)
+	cl := dialTest(t, seed, peerstripe.WithCode("xor"), peerstripe.WithChunkCap(64<<10))
+	ts := httptest.NewServer(gateway.New(cl, gateway.Config{}))
+	t.Cleanup(ts.Close)
+	putObject(t, ts.URL, "gone.bin", make([]byte, 128<<10))
+
+	for _, s := range servers {
+		s.Close()
+	}
+	resp, _ := get(t, ts.URL+"/gone.bin", map[string]string{"Range": "bytes=0-99"})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("GET with the ring gone: %d, want 503", resp.StatusCode)
+	}
+	if tag := resp.Header.Get("ETag"); tag != "" {
+		t.Errorf("error response carries the object's ETag %s", tag)
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-	"time"
 
 	"peerstripe/internal/core"
-	"peerstripe/internal/node"
 )
 
 // TestStaleHotMarkerIgnoredAfterRestore pins the content binding of
@@ -22,36 +20,7 @@ import (
 // hash, readers served the old bytes. They must fall back to the
 // coded path and return the new ones.
 func TestStaleHotMarkerIgnoredAfterRestore(t *testing.T) {
-	var servers []*node.Server
-	seed := ""
-	for i := 0; i < 4; i++ {
-		s, err := node.NewServer("127.0.0.1:0", 1<<30, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seed == "" {
-			seed = s.Addr()
-		}
-		servers = append(servers, s)
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		converged := true
-		for _, s := range servers {
-			if s.RingSize() != len(servers) {
-				converged = false
-			}
-		}
-		if converged {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	seed := internalRing(t, 4)
 
 	const chunk = 64 << 10
 	ctx := context.Background()

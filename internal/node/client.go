@@ -1039,11 +1039,22 @@ func (c *Client) FetchRangeCtx(ctx context.Context, name string, off, length int
 	return c.fetchCodec(ctx).DecodeRange(ctx, cat, off, length, c.fetchFunc(ctx))
 }
 
-// FetchChunk reconstructs one chunk of a loaded CAT — the granularity
-// the public File's decoded-chunk cache works at.
+// FetchChunk reconstructs one chunk of a loaded CAT, consulting and
+// populating the configured ChunkCache.
 func (c *Client) FetchChunk(ctx context.Context, cat *core.CAT, ci int) ([]byte, error) {
 	defer c.met.fetchSeconds.Since(time.Now())
 	return c.fetchCodec(ctx).DecodeChunk(ctx, cat, ci, c.fetchFunc(ctx))
+}
+
+// FetchChunkNoCache is FetchChunk without the ChunkCache consult, for
+// a caller that caches at chunk granularity itself and already owns
+// the chunk's cache key (the public File's singleflight): it skips the
+// redundant lookup and insert, and the CAT hashing they would cost.
+func (c *Client) FetchChunkNoCache(ctx context.Context, cat *core.CAT, ci int) ([]byte, error) {
+	defer c.met.fetchSeconds.Since(time.Now())
+	cd := c.fetchCodec(ctx)
+	cd.Cache = nil
+	return cd.DecodeChunk(ctx, cat, ci, c.fetchFunc(ctx))
 }
 
 func (c *Client) fetchFunc(ctx context.Context) core.FetchFunc {

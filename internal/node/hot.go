@@ -42,6 +42,9 @@ type HotStats struct {
 	Copies int
 	// Bytes counts the replica bytes stored (Chunks × chunk sizes × Copies).
 	Bytes int64
+	// CATHash is the hash of the CAT the replicas were cut from — the
+	// version the marker is bound to.
+	CATHash uint64
 }
 
 // PromoteCtx places `copies` full-copy replicas of every non-empty
@@ -81,7 +84,8 @@ func (c *Client) PromoteCtx(ctx context.Context, name string, copies int) (HotSt
 	if err != nil {
 		return st, err
 	}
-	marker := fmt.Sprintf("%d %016x", copies, cat.Hash())
+	st.CATHash = cat.Hash()
+	marker := fmt.Sprintf("%d %016x", copies, st.CATHash)
 	if err := c.storeBlock(ctx, core.HotName(name), []byte(marker)); err != nil {
 		return st, fmt.Errorf("node: promote %q: store marker: %w", name, err)
 	}

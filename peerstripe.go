@@ -39,6 +39,7 @@ package peerstripe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -55,6 +56,12 @@ var (
 	// ErrRingUnavailable reports that the ring could not be reached at
 	// all: a dead seed, dial failures, or no surviving member.
 	ErrRingUnavailable = node.ErrRingUnavailable
+	// ErrChanged reports that a file was re-stored on the ring after
+	// the handle reading it was opened: the handle's chunk allocation
+	// table no longer describes the stored bytes, so a read that had to
+	// decode was refused instead of decoding under a stale table.
+	// Reopen the file to read the current version.
+	ErrChanged = errors.New("peerstripe: file changed since it was opened")
 )
 
 // Client is a handle on a PeerStripe ring. Create one with Dial; it is
@@ -66,6 +73,9 @@ type Client struct {
 	// singleflight, shared by every File the client opens and by the
 	// ranged-read paths underneath (see WithChunkCache).
 	cache *chunkCache
+	// lease serves recently read CATs to Open without a wire call and
+	// carries each version's hot-promotion state (see lease.go).
+	lease *catLease
 }
 
 // Dial connects to a ring through any member's address and returns a
@@ -88,12 +98,15 @@ func Dial(ctx context.Context, contact string, opts ...Option) (*Client, error) 
 		return nil, fmt.Errorf("peerstripe: dial %s: %w", contact, err)
 	}
 	cache.registerMetrics(nc.Telemetry())
-	return &Client{c: nc, opts: o, cache: cache}, nil
+	lease := newCATLease(nc.LoadCATCtx, nc.HotCopiesCtx)
+	lease.registerMetrics(nc.Telemetry())
+	return &Client{c: nc, opts: o, cache: cache, lease: lease}, nil
 }
 
 // Close releases the client's pooled connections. Operations after
 // Close fail.
 func (c *Client) Close() error {
+	c.lease.close()
 	c.c.Close()
 	return nil
 }
@@ -120,6 +133,10 @@ type FileInfo struct {
 // Cancelling ctx aborts the transfer promptly with the ctx error.
 // Already-placed blocks remain as unreferenced orphans and do not
 // affect a later re-store of the same name.
+//
+// The committed table is leased at once: every Open on this client
+// that starts after Store returns reads the new version, with no wire
+// call for the table.
 func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64) (*FileInfo, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("peerstripe: store %q: negative size %d", name, size)
@@ -127,6 +144,9 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 	plan := core.PlanChunkSizes(size, c.opts.maxChunk())
 	cat, err := c.c.StoreReader(ctx, name, r, plan)
 	if err != nil {
+		// A store that failed partway may have replaced some CAT
+		// replicas: stop leasing the name.
+		c.lease.invalidate(name)
 		return nil, fmt.Errorf("peerstripe: store %q: %w", name, err)
 	}
 	// The name's bytes just changed: cached chunks are stale, and so
@@ -136,6 +156,9 @@ func (c *Client) Store(ctx context.Context, name string, r io.Reader, size int64
 	// orphan, never a correctness hazard — and it runs detached from
 	// the caller's cancellation (with its own backstop deadline) so a
 	// request aborted right after the store still cleans up.
+	// Lease first: a handle on the old version that misses the cache
+	// once the sweep below runs must find itself superseded.
+	c.lease.install(name, cat)
 	c.cache.invalidate(name)
 	demoteCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Minute)
 	defer cancel()
@@ -162,6 +185,9 @@ func (c *Client) Stat(ctx context.Context, name string) (*FileInfo, error) {
 // replica, and any hot-read chunk replicas a promotion placed.
 func (c *Client) Delete(ctx context.Context, name string) error {
 	c.cache.invalidate(name)
+	// Forget the lease after the blocks are gone, dooming any load an
+	// Open started meanwhile, so no later Open is served the old table.
+	defer c.lease.invalidate(name)
 	if err := c.c.DeleteFileCtx(ctx, name); err != nil {
 		return fmt.Errorf("peerstripe: delete %q: %w", name, err)
 	}

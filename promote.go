@@ -38,6 +38,7 @@ func (c *Client) Promote(ctx context.Context, name string, copies int) (PromoteI
 	if err != nil {
 		return PromoteInfo{}, fmt.Errorf("peerstripe: promote %q: %w", name, err)
 	}
+	c.lease.setHot(name, st.CATHash, st.Copies)
 	return PromoteInfo{Chunks: st.Chunks, Copies: st.Copies, Bytes: st.Bytes}, nil
 }
 
@@ -48,5 +49,6 @@ func (c *Client) Demote(ctx context.Context, name string) error {
 	if _, err := c.c.DemoteCtx(ctx, name); err != nil {
 		return fmt.Errorf("peerstripe: demote %q: %w", name, err)
 	}
+	c.lease.setHot(name, 0, 0)
 	return nil
 }
