@@ -107,12 +107,16 @@ obs:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Regression guard over the Table 2 coding arms: re-measure at a real
-# benchtime and compare MB/s against the committed baseline JSON,
-# failing on a >$(BENCH_GUARD_PCT)% drop (cmd/benchguard).
+# Regression guard over the Table 2 coding arms and the CAT content
+# sum: re-measure at a real benchtime and compare MB/s against the
+# committed baseline JSON, failing on a >$(BENCH_GUARD_PCT)% drop
+# (cmd/benchguard). The ChunkSum arm fails if the sum goes back to a
+# byte-serial hash (BENCH_PR14.json records the FNV-1a rate).
 bench-guard:
 	$(GO) test -run '^$$' -bench 'Table2Online' -benchtime 1s . \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_PR8.json -match 'Table2' -tol $(BENCH_GUARD_PCT)
+	$(GO) test -run '^$$' -bench '^BenchmarkChunkSum$$' -benchtime 1s ./internal/core \
+		| $(GO) run ./cmd/benchguard -baseline BENCH_PR14.json -match 'ChunkSum' -tol $(BENCH_GUARD_PCT)
 	$(GO) test -run '^$$' -bench 'LiveStore(File|Stream)$$|LiveFetch(File|Stream)$$' -benchtime 1s ./internal/node \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_PR7.json -match 'Live' -tol $(LIVE_GUARD_PCT)
 	$(GO) test -run '^$$' -bench 'Gateway' -benchtime 1s ./gateway \

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"strings"
 )
@@ -21,9 +22,11 @@ type CAT struct {
 type CATRow struct {
 	Start int64 // inclusive
 	End   int64 // exclusive
-	// Sum is the fnv64a fingerprint of the chunk's plaintext bytes
-	// (see ChunkSum), 0 when unknown — zero-sized rows, or tables
-	// written before content sums existed. A non-zero Sum makes the
+	// Sum is the content sum of the chunk's plaintext bytes (ChunkSum:
+	// CRC-32C in the high word, CRC-32/IEEE in the low word), 0 when
+	// unknown — zero-sized rows, or tables written before content sums
+	// existed. The construction is part of the CAT format: a reader
+	// verifies stored bytes by recomputing it. A non-zero Sum makes the
 	// CAT content-addressed: re-storing a name with different bytes
 	// changes its CAT even when the chunk layout is identical, so
 	// CAT.Hash works as a true content version, and readers can verify
@@ -151,13 +154,20 @@ func (c *CAT) Hash() uint64 {
 	return h.Sum64()
 }
 
-// ChunkSum fingerprints one chunk's plaintext bytes for CATRow.Sum:
-// an fnv64a, with the reserved "no sum" value 0 remapped so a stored
-// sum is always non-zero.
+// castagnoli is the CRC-32C table; crc32 dispatches it to the SSE4.2
+// (amd64) or CRC32 (arm64) instructions.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ChunkSum returns the content sum of one chunk's plaintext bytes for
+// CATRow.Sum: CRC-32C (Castagnoli) in the high 32 bits and CRC-32/IEEE
+// in the low 32 bits, both hardware-accelerated, with the reserved
+// "no sum" value 0 remapped to 1 so a stored sum is always non-zero.
+// The construction is a format commitment: sums are written into
+// every CAT and recomputed by readers, so changing it invalidates
+// every stored table (TestChunkSumKnownAnswer pins it).
 func ChunkSum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	if s := h.Sum64(); s != 0 {
+	s := uint64(crc32.Checksum(data, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(data))
+	if s != 0 {
 		return s
 	}
 	return 1

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"hash/crc32"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -65,6 +68,122 @@ func TestCATContentSums(t *testing.T) {
 	}
 	if c.Hash() != rt.Hash() {
 		t.Fatal("hash not stable across marshal round trip")
+	}
+}
+
+// TestChunkSumKnownAnswer pins the content-sum construction. Sums are
+// written into every CAT and recomputed by readers, so any change to
+// ChunkSum is a format change and must fail here: the expected value
+// joins the standard check values of CRC-32C (0xE3069283) and
+// CRC-32/IEEE (0xCBF43926) over "123456789".
+func TestChunkSumKnownAnswer(t *testing.T) {
+	if got, want := ChunkSum([]byte("123456789")), uint64(0xE3069283CBF43926); got != want {
+		t.Fatalf("ChunkSum(\"123456789\") = %#016x, want %#016x", got, want)
+	}
+}
+
+// chunkSumInput returns a deterministic 4 MiB chunk.
+func chunkSumInput() []byte {
+	data := make([]byte, 4<<20)
+	rand.New(rand.NewSource(14)).Read(data)
+	return data
+}
+
+// TestChunkSumDetectsChanges: a single flipped bit anywhere in a chunk,
+// and a chunk one byte longer or shorter, each change the sum.
+func TestChunkSumDetectsChanges(t *testing.T) {
+	data := chunkSumInput()
+	base := ChunkSum(data)
+	for _, bit := range []int{0, 7, 8 * 12345, 8*len(data)/2 + 3, 8*len(data) - 1} {
+		data[bit/8] ^= 1 << (bit % 8)
+		if ChunkSum(data) == base {
+			t.Errorf("flipping bit %d left the sum unchanged", bit)
+		}
+		data[bit/8] ^= 1 << (bit % 8)
+	}
+	if ChunkSum(data[:len(data)-1]) == base {
+		t.Error("dropping the last byte left the sum unchanged")
+	}
+	if ChunkSum(append(data, 0)) == base {
+		t.Error("appending a zero byte left the sum unchanged")
+	}
+}
+
+// TestChunkSumZeroRemap checks that a chunk whose two CRCs are both
+// zero gets sum 1, since 0 means "no sum" in a CAT row. For a fixed
+// length each CRC is affine over GF(2) in the message bits, so such a
+// chunk is found by solving 64 linear equations in 96 message bits.
+func TestChunkSumZeroRemap(t *testing.T) {
+	const n = 12
+	raw := func(d []byte) uint64 {
+		return uint64(crc32.Checksum(d, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(d))
+	}
+	type vec struct {
+		v   uint64  // raw(msg) ^ raw(zeros)
+		msg [n]byte // message bits combined into v
+	}
+	var (
+		zero  [n]byte
+		c     = raw(zero[:])
+		basis [64]vec // indexed by leading bit of v
+		have  [64]bool
+	)
+	// reduce XORs basis vectors into e until its v is zero or has a
+	// leading bit with no basis vector, and returns that bit (-1 if v
+	// reached zero).
+	reduce := func(e *vec) int {
+		for e.v != 0 {
+			hb := 63 - bits.LeadingZeros64(e.v)
+			if !have[hb] {
+				return hb
+			}
+			e.v ^= basis[hb].v
+			for j := range e.msg {
+				e.msg[j] ^= basis[hb].msg[j]
+			}
+		}
+		return -1
+	}
+	for i := 0; i < 8*n; i++ {
+		var e vec
+		e.msg[i/8] = 1 << (i % 8)
+		e.v = raw(e.msg[:]) ^ c
+		if hb := reduce(&e); hb >= 0 {
+			basis[hb], have[hb] = e, true
+		}
+	}
+	sol := vec{v: c}
+	if reduce(&sol) >= 0 {
+		t.Fatal("no message with both CRCs zero at this length")
+	}
+	if got := raw(sol.msg[:]); got != 0 {
+		t.Fatalf("solver produced raw sum %#x, want 0", got)
+	}
+	if got := ChunkSum(sol.msg[:]); got != 1 {
+		t.Fatalf("ChunkSum of an all-zero-CRC chunk = %#x, want 1", got)
+	}
+}
+
+// TestChunkSumAllocFree: summing runs on every stored and verified
+// chunk, so it must not allocate.
+func TestChunkSumAllocFree(t *testing.T) {
+	data := chunkSumInput()
+	if a := testing.AllocsPerRun(5, func() { ChunkSum(data) }); a != 0 {
+		t.Fatalf("ChunkSum allocates %.0f times per 4 MiB chunk", a)
+	}
+}
+
+var chunkSumSink uint64
+
+// BenchmarkChunkSum measures the content sum on one 4 MiB chunk; `make
+// bench-guard` gates it against BENCH_PR14.json.
+func BenchmarkChunkSum(b *testing.B) {
+	data := chunkSumInput()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chunkSumSink = ChunkSum(data)
 	}
 }
 

@@ -369,7 +369,8 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 		names = append(names, core.ReplicaName(core.CATName(fileName), r))
 	}
 
-	waitFor(t, 30*time.Second, "autonomous repair to restore full redundancy", func() bool {
+	deadline := time.Now().Add(30 * time.Second)
+	waitFor(t, time.Until(deadline), "autonomous repair to restore full redundancy", func() bool {
 		for _, bn := range names {
 			if _, err := vc.fetchBlock(context.Background(), bn); err != nil {
 				return false
@@ -378,17 +379,25 @@ func TestRepairDaemonHealsAfterDeath(t *testing.T) {
 		return true
 	})
 
-	// The daemon, not a manual pass, did the work.
-	recreated := 0
-	var bytesRecreated int64
-	for i, s := range servers {
-		if i == victim {
-			continue
+	// The daemon, not a manual pass, did the work. A job adds to its
+	// server's report only after its repair pass returns, so the healed
+	// blocks can be visible a moment before the report moves.
+	reports := func() (recreated int, bytesRecreated int64) {
+		for i, s := range servers {
+			if i == victim {
+				continue
+			}
+			rpt := s.RepairReport()
+			recreated += rpt.BlocksRecreated
+			bytesRecreated += rpt.BytesRecreated
 		}
-		rpt := s.RepairReport()
-		recreated += rpt.BlocksRecreated
-		bytesRecreated += rpt.BytesRecreated
+		return recreated, bytesRecreated
 	}
+	waitFor(t, time.Until(deadline), "repair reports to record the healed blocks", func() bool {
+		r, b := reports()
+		return r > 0 && b > 0
+	})
+	recreated, bytesRecreated := reports()
 	if recreated == 0 || bytesRecreated == 0 {
 		t.Fatalf("repair reports show no work: %d blocks, %d bytes", recreated, bytesRecreated)
 	}
